@@ -33,7 +33,7 @@ Linear::plan(GemmKind kind, TensorRole role) const
         return p;
     p.cfg = rolePolicy(prec, role);
     if (p.cfg.rounding == Rounding::Stochastic)
-        p.materialize = true; // RNG stream order forbids fusing
+        p.materialize = true; // pack kernels carry no SR call key
     else
         p.fused = true;
     return p;

@@ -140,7 +140,8 @@ class Linear
      * How one operand of one GEMM is quantized under the current
      * scheme: a pack policy (`fused` — applied during the operand
      * pack, nothing materialized), a materialization (`materialize` —
-     * stochastic rounding, whose RNG stream is order-sensitive), or
+     * stochastic rounding, whose draws are keyed by the quantizer call
+     * and the pack kernels carry no key), or
      * passthrough (BF16 / no quantizer; both false).
      */
     struct QuantPlan

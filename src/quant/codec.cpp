@@ -2,9 +2,6 @@
 
 #include <cmath>
 
-#include "util/logging.h"
-#include "util/rng.h"
-
 namespace snip {
 
 const char *
@@ -59,10 +56,11 @@ namespace {
 /**
  * Common quantization path: clamp, express x as (grid index) * ulp, round
  * the index by the chosen rule, return index * ulp with the sign
- * restored.
+ * restored. @p draw24 is only read for Rounding::Stochastic.
  */
 float
-quantizeImpl(float x, const FloatFormat &fmt, Rounding mode, Rng *rng)
+quantizeImpl(float x, const FloatFormat &fmt, Rounding mode,
+             uint32_t draw24)
 {
     if (x == 0.0f || !std::isfinite(x))
         return std::isfinite(x) ? 0.0f : (x > 0 ? 1.0f : -1.0f) *
@@ -85,8 +83,11 @@ quantizeImpl(float x, const FloatFormat &fmt, Rounding mode, Rng *rng)
     double frac = q - lo;
     double rounded;
     if (mode == Rounding::Stochastic) {
-        SNIP_ASSERT(rng != nullptr, "stochastic rounding needs an Rng");
-        rounded = lo + (rng->nextDouble() < frac ? 1.0 : 0.0);
+        // Both sides are exact: frac is q's low bits, the draw a 24-bit
+        // integer scaled by a power of two.
+        rounded = lo + (static_cast<double>(draw24) * 0x1p-24 < frac
+                            ? 1.0
+                            : 0.0);
     } else {
         if (frac > 0.5) {
             rounded = lo + 1.0;
@@ -106,24 +107,53 @@ quantizeImpl(float x, const FloatFormat &fmt, Rounding mode, Rng *rng)
     return static_cast<float>(sign * result);
 }
 
+/** MurmurHash3's 32-bit finalizer (a bijection with full avalanche). */
+uint32_t
+fmix32(uint32_t h)
+{
+    h ^= h >> 16;
+    h *= 0x85EBCA6Bu;
+    h ^= h >> 13;
+    h *= 0xC2B2AE35u;
+    h ^= h >> 16;
+    return h;
+}
+
 } // namespace
 
 float
 quantizeNearest(float x, const FloatFormat &fmt)
 {
-    return quantizeImpl(x, fmt, Rounding::Nearest, nullptr);
+    return quantizeImpl(x, fmt, Rounding::Nearest, 0);
 }
 
 float
-quantizeStochastic(float x, const FloatFormat &fmt, Rng &rng)
+quantizeStochastic(float x, const FloatFormat &fmt, uint32_t draw24)
 {
-    return quantizeImpl(x, fmt, Rounding::Stochastic, &rng);
+    return quantizeImpl(x, fmt, Rounding::Stochastic, draw24);
 }
 
-float
-quantizeValue(float x, const FloatFormat &fmt, Rounding mode, Rng *rng)
+SrStream
+srStream(uint64_t key, uint32_t index_hi)
 {
-    return quantizeImpl(x, fmt, mode, rng);
+    uint64_t z = key + 0x9E3779B97F4A7C15ull * (uint64_t{index_hi} + 1);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    z ^= z >> 31;
+    return {static_cast<uint32_t>(z), static_cast<uint32_t>(z >> 32)};
+}
+
+uint32_t
+srDraw24(const SrStream &s, uint32_t index_lo)
+{
+    return fmix32(fmix32(index_lo ^ s.s0) + s.s1) >> 8;
+}
+
+uint32_t
+srDraw24(uint64_t key, uint64_t index)
+{
+    return srDraw24(srStream(key, static_cast<uint32_t>(index >> 32)),
+                    static_cast<uint32_t>(index));
 }
 
 } // namespace snip

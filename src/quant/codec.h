@@ -7,22 +7,26 @@
  * gradients) rounds to the two neighbouring grid points with probability
  * proportional to proximity, making the quantizer unbiased in
  * expectation and preventing training stagnation.
+ *
+ * The functions here are the definitional scalar references (double
+ * arithmetic on the format's ULP); the vectorized kernels in simd/ are
+ * held to them bit for bit.
  */
 #ifndef SNIP_QUANT_CODEC_H
 #define SNIP_QUANT_CODEC_H
 
+#include <cstdint>
+
 #include "quant/format.h"
 
 namespace snip {
-
-class Rng;
 
 /** Rounding rule applied when a value falls between grid points. */
 enum class Rounding
 {
     /** Round to nearest, ties to even mantissa. */
     Nearest,
-    /** Stochastic rounding (requires an Rng). */
+    /** Stochastic rounding driven by counter-based draws (srDraw24). */
     Stochastic,
 };
 
@@ -37,15 +41,46 @@ const char *roundingName(Rounding r);
  */
 float quantizeNearest(float x, const FloatFormat &fmt);
 
-/** Quantize one value with stochastic rounding driven by @p rng. */
-float quantizeStochastic(float x, const FloatFormat &fmt, Rng &rng);
+/**
+ * Quantize one value with stochastic rounding. With x = (lo + frac) *
+ * ulp on the format's grid (lo an integer grid index, 0 <= frac < 1),
+ * the result is (lo + 1) * ulp iff draw24 * 2^-24 < frac, else
+ * lo * ulp, so a uniform 24-bit @p draw24 rounds up with probability
+ * exactly frac whenever frac is a multiple of 2^-24 — true for every
+ * normal-range input; below half the smallest subnormal step the
+ * probability exceeds frac by less than 2^-24. Saturation, NaN (to
+ * -max) and ±0 (to +0) behave as in quantizeNearest().
+ */
+float quantizeStochastic(float x, const FloatFormat &fmt, uint32_t draw24);
 
 /**
- * Quantize one value with the requested mode. @p rng may be null for
- * Rounding::Nearest.
+ * Counter-based stochastic-rounding draws (Salmon et al., "Parallel
+ * Random Numbers: As Easy as 1, 2, 3", SC'11). The draw for element
+ * @p index of a call keyed by @p key is a pure function of the pair,
+ * so every partition of a tensor over threads or SIMD lanes sees the
+ * same draws. It is computed in two stages so vector kernels can hoist
+ * the first: srStream() folds the whole 64-bit key and the high half
+ * of the index into two 32-bit seeds (SplitMix64's finalizer), and
+ * srDraw24() hashes the low index half through two rounds of
+ * MurmurHash3's fmix32,
+ *     h = fmix32(fmix32(index_lo ^ s0) + s1),
+ * keeping the top 24 bits. Both rounds are bijections of index_lo, so
+ * the draws of one stream segment never repeat a hash.
  */
-float quantizeValue(float x, const FloatFormat &fmt, Rounding mode,
-                    Rng *rng);
+struct SrStream
+{
+    uint32_t s0;
+    uint32_t s1;
+};
+
+/** Seeds for the indices of @p key whose high 32 bits are @p index_hi. */
+SrStream srStream(uint64_t key, uint32_t index_hi);
+
+/** The 24-bit draw for low index half @p index_lo of stream @p s. */
+uint32_t srDraw24(const SrStream &s, uint32_t index_lo);
+
+/** The 24-bit draw for element @p index of the call keyed by @p key. */
+uint32_t srDraw24(uint64_t key, uint64_t index);
 
 /** Spacing of the format's grid at value @p x (the ULP). */
 double ulpAt(float x, const FloatFormat &fmt);

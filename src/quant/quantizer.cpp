@@ -145,12 +145,10 @@ FakeQuantizer::quantizeInPlace(Tensor &t, const QuantConfig &cfg)
     float *p = t.data();
     const double fmt_max = cfg.format.maxValue();
     const bool stochastic = cfg.rounding == Rounding::Stochastic;
-    // Stochastic rounding draws from one per-region stream seeded by
-    // (call key, region index): the member stream advances exactly once
-    // per call (so repeated calls remain one deterministic sequence)
-    // and every region's draws are independent of how regions are
-    // scheduled across threads — results are bit-identical for any
-    // thread count.
+    // The member stream advances exactly once per stochastic call; the
+    // draw for each element is then a pure function of (call key, flat
+    // element index), so results are bit-identical for any thread count
+    // and either kernel backend.
     const uint64_t call_key = stochastic ? rng_.nextU64() : 0;
 
     const std::vector<ScalingRegion> regions =
@@ -173,30 +171,16 @@ FakeQuantizer::quantizeInPlace(Tensor &t, const QuantConfig &cfg)
                 const double scale = regionScale(max_abs, fmt_max);
                 const float fscale = static_cast<float>(scale);
                 const float inv = static_cast<float>(1.0 / scale);
-                if (!stochastic) {
-                    // Nearest rounding takes the vectorized grid-snap
-                    // kernel (bit-exact across backends).
-                    for (int64_t r = reg.r0; r < reg.r1; ++r) {
-                        kt.quantizeNearest(p + r * cols + reg.c0,
-                                           reg.c1 - reg.c0, cfg.format,
-                                           grid, fscale, inv);
-                    }
-                    continue;
-                }
-                // Stochastic rounding stays scalar: the per-region RNG
-                // stream consumes one draw per element in row-major
-                // order, and that sequence is part of the determinism
-                // contract.
-                Rng region_rng(call_key +
-                               0x9E3779B97F4A7C15ull *
-                                   (static_cast<uint64_t>(g) + 1));
                 for (int64_t r = reg.r0; r < reg.r1; ++r) {
-                    float *row = p + r * cols;
-                    for (int64_t c = reg.c0; c < reg.c1; ++c) {
-                        row[c] = quantizeValue(row[c] * fscale,
-                                               cfg.format, cfg.rounding,
-                                               &region_rng) *
-                                 inv;
+                    const int64_t off = r * cols + reg.c0;
+                    if (stochastic) {
+                        kt.quantizeStochastic(
+                            p + off, reg.c1 - reg.c0, cfg.format, grid,
+                            fscale, inv, call_key,
+                            static_cast<uint64_t>(off));
+                    } else {
+                        kt.quantizeNearest(p + off, reg.c1 - reg.c0,
+                                           cfg.format, grid, fscale, inv);
                     }
                 }
             }

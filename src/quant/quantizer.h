@@ -72,12 +72,15 @@ Rounding fp4GradRounding();
  *
  * Owns the Rng seeding stochastic rounding so repeated calls advance
  * one deterministic stream: each stochastic call draws one 64-bit call
- * key from it, and every scaling region derives an independent stream
- * from (call key, region index). Regions are swept in parallel on the
- * shared thread pool (runtime/thread_pool.h); because the per-region
- * streams and region order are fixed, results are bit-identical for
- * any thread count. Nearest-rounding calls never touch the Rng, so
- * distinct tensors may be quantized concurrently with Nearest configs.
+ * key from it, and element i of the tensor's row-major [rows, cols]
+ * view rounds with the counter-based draw srDraw24(call key, i)
+ * (quant/codec.h). Regions are swept in parallel on the shared thread
+ * pool (runtime/thread_pool.h), each row segment through the active
+ * backend's quantizeNearest / quantizeStochastic kernel; because no
+ * draw depends on scheduling, results are bit-identical for any thread
+ * count and across kernel backends. Nearest-rounding calls never touch
+ * the Rng, so distinct tensors may be quantized concurrently with
+ * Nearest configs.
  */
 class FakeQuantizer
 {

@@ -63,8 +63,8 @@ struct ScalingRegion
 /**
  * Materialize the regions forEachRegion() would visit, in the same
  * order. Regions are disjoint, so parallel sweeps (runtime/) can
- * process them independently; the returned order is the canonical
- * region index used to derive per-region stochastic-rounding streams.
+ * process them independently (a region's result never depends on the
+ * order they are visited in).
  */
 std::vector<ScalingRegion> collectRegions(int64_t rows, int64_t cols,
                                           const ScalingSpec &spec);

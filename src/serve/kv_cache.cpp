@@ -8,6 +8,7 @@
 #include "quant/format.h"
 #include "quant/scaling.h"
 #include "runtime/env_config.h"
+#include "runtime/workspace_arena.h"
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
 #include "telemetry/telemetry.h"
@@ -20,9 +21,9 @@ namespace {
 
 /**
  * Every positive FP8-E4M3 magnitude in ascending order, index 0 = 0.
- * quantizeNearest() lands exactly on this grid, so encoding is an
- * exact binary search and a byte code decodes to exactly the float
- * the fake quantizer would have produced.
+ * Only the top code (the NaN pattern) is missing, so a magnitude's
+ * index is its standard E4M3 bit pattern and a byte code decodes to
+ * exactly the float the fake quantizer would have produced.
  */
 const std::vector<float> &
 e4m3Magnitudes()
@@ -63,22 +64,57 @@ e4m3Magnitudes()
     return mags;
 }
 
-/** Byte code for one already-grid-snapped value. */
-uint8_t
-encodeE4m3(float q)
+/** E4M3 field layout that encodeE4m3 computes codes from. */
+constexpr uint32_t kE4m3Bias = 7;
+constexpr uint32_t kE4m3MantBits = 3;
+/** 2^(1 - bias), the smallest normal magnitude, as float bits. */
+constexpr uint32_t kE4m3MinNormalBits = (127u + 1u - kE4m3Bias) << 23;
+/** 1 / smallest subnormal magnitude, 2^(bias - 1 + mantissa bits). */
+constexpr float kE4m3InvMinSub =
+    static_cast<float>(1u << (kE4m3Bias - 1 + kE4m3MantBits));
+
+/** quantGrid(fp8E4m3()), computed once for every encode. */
+const QuantGrid &
+e4m3Grid()
 {
-    const std::vector<float> &mags = e4m3Magnitudes();
-    const float mag = std::fabs(q);
-    const auto it =
-        std::lower_bound(mags.begin(), mags.end(), mag);
-    SNIP_ASSERT(it != mags.end() && *it == mag,
-                "value ", q, " is not on the e4m3 grid");
-    const uint8_t idx =
-        static_cast<uint8_t>(it - mags.begin());
-    return std::signbit(q) ? static_cast<uint8_t>(idx | 0x80) : idx;
+    static const QuantGrid grid = [] {
+        const FloatFormat &fmt = fp8E4m3();
+        SNIP_ASSERT(fmt.bias == static_cast<int>(kE4m3Bias) &&
+                        fmt.mantissa_bits ==
+                            static_cast<int>(kE4m3MantBits),
+                    "e4m3 field layout mismatch");
+        return quantGrid(fmt);
+    }();
+    return grid;
 }
 
 } // namespace
+
+uint8_t
+encodeE4m3(float q)
+{
+    uint32_t bits;
+    std::memcpy(&bits, &q, sizeof(bits));
+    const uint32_t a = bits & 0x7FFFFFFFu;
+    uint32_t code;
+    if (a >= kE4m3MinNormalBits) {
+        // Rebias the exponent and keep the top mantissa bits.
+        code = (((a >> 23) - (127u - kE4m3Bias)) << kE4m3MantBits) |
+               ((a >> (23 - kE4m3MantBits)) & ((1u << kE4m3MantBits) - 1));
+    } else {
+        // Subnormal (or zero): the code is the multiple of the
+        // smallest subnormal step, exact in float.
+        code = static_cast<uint32_t>(std::fabs(q) * kE4m3InvMinSub);
+    }
+    return static_cast<uint8_t>(((bits >> 24) & 0x80u) | code);
+}
+
+float
+decodeE4m3(uint8_t code)
+{
+    const float mag = e4m3Magnitudes()[static_cast<size_t>(code & 0x7f)];
+    return (code & 0x80) ? -mag : mag;
+}
 
 const char *
 kvCacheModeName(KvCacheMode mode)
@@ -149,7 +185,8 @@ KvCache::KvCache(const KvCacheConfig &config) : config_(config)
                                 config.page_tokens *
                                 config.n_kv_heads),
             0.0f);
-        e4m3Magnitudes(); // build the codec table up front
+        e4m3Magnitudes(); // build the codec tables up front
+        e4m3Grid();
     }
 }
 
@@ -250,7 +287,7 @@ KvCache::encodeRow(int64_t page, int64_t kv, int64_t tok,
         return;
     }
     const FloatFormat &fmt = fp8E4m3();
-    const double fmt_max = fmt.maxValue();
+    const QuantGrid &grid = e4m3Grid();
     const simd::KernelTable &kt = simd::activeKernels();
     const int64_t hd = config_.head_dim;
     uint8_t *out = codes_.data() + off;
@@ -258,19 +295,25 @@ KvCache::encodeRow(int64_t page, int64_t kv, int64_t tok,
         inv_scales_.data() +
         ((page * 2 + kv) * config_.page_tokens + tok) *
             config_.n_kv_heads;
+    runtime::WorkspaceArena &arena =
+        runtime::WorkspaceArena::forCurrentThread();
+    runtime::ArenaScope scope(arena);
+    float *snapped = arena.getFloats(static_cast<size_t>(hd));
     for (int64_t h = 0; h < config_.n_kv_heads; ++h) {
         const float *block = src + h * hd;
         // One scale per (token, kv-head) head_dim block — the same
         // max-abs/rescale recipe FakeQuantizer applies to a tile.
         const double max_abs =
             static_cast<double>(kt.maxAbs(block, hd));
-        const double scale = regionScale(max_abs, fmt_max);
-        const float fscale = static_cast<float>(scale);
-        const float inv = static_cast<float>(1.0 / scale);
-        inv_out[h] = inv;
+        const double scale = regionScale(max_abs, grid.max_value);
+        inv_out[h] = static_cast<float>(1.0 / scale);
+        // Snap the scaled block onto the grid (an inverse scale of 1
+        // keeps the snapped values), then read each code off its bits.
+        std::memcpy(snapped, block, static_cast<size_t>(hd) * sizeof(float));
+        kt.quantizeNearest(snapped, hd, fmt, grid,
+                           static_cast<float>(scale), 1.0f);
         for (int64_t i = 0; i < hd; ++i)
-            out[h * hd + i] =
-                encodeE4m3(quantizeNearest(block[i] * fscale, fmt));
+            out[h * hd + i] = encodeE4m3(snapped[i]);
     }
 }
 
@@ -317,6 +360,7 @@ KvCache::gatherHead(int64_t seq_id, int64_t layer, int64_t kv,
         }
         return;
     }
+    // Decode through the magnitude table (decodeE4m3, inlined).
     const std::vector<float> &mags = e4m3Magnitudes();
     for (int64_t t = 0; t < sl.length; ++t) {
         const int64_t page =

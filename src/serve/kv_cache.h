@@ -56,6 +56,18 @@ bool parseKvCacheMode(const char *spec, KvCacheMode *out);
  *  fp8 on unknown spellings). */
 KvCacheMode kvCacheModeFromEnv();
 
+/**
+ * FP8-E4M3 byte code of @p q, a value already on the e4m3 grid (as
+ * quantizeNearest(x, fp8E4m3()) returns it): the sign in bit 7 and the
+ * standard E4M3 exponent/mantissa bit pattern below it, computed from
+ * the float's bits. Off-grid inputs have no meaningful code.
+ */
+uint8_t encodeE4m3(float q);
+
+/** The float a code stands for; decodeE4m3(encodeE4m3(q)) == q,
+ *  sign of zero included, for every grid value q. */
+float decodeE4m3(uint8_t code);
+
 /** Geometry and capacity of one cache. */
 struct KvCacheConfig
 {

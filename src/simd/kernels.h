@@ -4,7 +4,7 @@
  *
  * A KernelTable bundles the architecture-specific inner kernels the
  * library dispatches at runtime (simd/dispatch.h): the GEMM block
- * microkernels, the nearest-rounding grid-snap sweep, and the
+ * microkernels, the nearest and stochastic grid-snap sweeps, and the
  * error-metric reductions. Backends implement the same block
  * decomposition (the constants below) and a fixed per-block
  * accumulation order, so each backend keeps the PR 1 guarantee that
@@ -60,9 +60,11 @@ packStrips(int64_t extent, int64_t strip)
  *     (r / row_block) * regions_per_row + c / col_block
  * and the caller precomputes scale[] / inv_scale[] exactly as the
  * materializing quantizer would, so fused and materialized results are
- * bit-identical (both backends' grid snap already is). Stochastic
- * rounding is NOT fusable (its RNG stream consumes draws in row-major
- * region order); callers materialize those operands first.
+ * bit-identical (both backends' grid snap already is). Only nearest
+ * rounding is fused: a stochastic-rounding draw is keyed by the
+ * quantizer call and the element's flat index (QuantizeStochasticFn),
+ * which these parameters do not carry, so callers materialize
+ * stochastic operands first.
  */
 struct PackQuant
 {
@@ -98,6 +100,21 @@ using QuantizeNearestFn = void (*)(float *p, int64_t count,
                                    const FloatFormat &fmt,
                                    const QuantGrid &grid, float scale,
                                    float inv_scale);
+
+/**
+ * In-place stochastic-rounding fake quantization of @p count values:
+ * p[i] = quantizeStochastic(p[i] * scale, fmt,
+ *                           srDraw24(key, index0 + i)) * inv_scale.
+ * Each draw is a pure function of (@p key, flat element index), so the
+ * result does not depend on how a tensor is split into spans, threads
+ * or SIMD lanes. Must match the scalar codec (quant/codec.h) bit for
+ * bit; @p grid is quantGrid(fmt), hoisted as for QuantizeNearestFn.
+ */
+using QuantizeStochasticFn = void (*)(float *p, int64_t count,
+                                      const FloatFormat &fmt,
+                                      const QuantGrid &grid, float scale,
+                                      float inv_scale, uint64_t key,
+                                      uint64_t index0);
 
 /** In-place bf16 round-to-nearest-even of @p count values (the
  *  tensorwise bf16 fast path; pure bit manipulation, exact). */
@@ -209,6 +226,7 @@ struct KernelTable
     PackBFn packB;           ///< strip-pack (+ fused quantize) B panels
     GemmPackedBlockFn gemmPackedBlock; ///< packed-panel M-block GEMM
     QuantizeNearestFn quantizeNearest;
+    QuantizeStochasticFn quantizeStochastic;
     Bf16RoundFn bf16Round;
     MaxAbsFn maxAbs;
     ErrorStatsFn errorStats;

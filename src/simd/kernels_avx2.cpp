@@ -231,7 +231,7 @@ gemmTnBlockAvx2(const float *a, const float *b, float *c, int64_t i0,
 
 // ------------------------------------------------------------ packed
 
-__m256 quantize8Avx2(__m256 x, const QuantGrid &g);
+inline __m256 quantize8Avx2(__m256 x, const QuantGrid &g);
 inline void transpose8x8(__m256 r0, __m256 r1, __m256 r2, __m256 r3,
                          __m256 r4, __m256 r5, __m256 r6, __m256 r7,
                          __m256 out[8]);
@@ -690,17 +690,20 @@ gemmPackedBlockAvx2(const float *ap, const float *bp, float *c,
 // --------------------------------------------------- quantize / misc
 
 /**
- * Eight-lane grid snap, bit-exact against quantizeNearest() (see
- * QuantGrid in quant/codec.h for why each step is exact). Handling of
- * the scalar path's special cases, in blend order: generic result →
- * NaN forced to -max (the scalar "x > 0 ? +max : -max" on
- * non-finites sends NaN negative regardless of its sign bit) → ±0
- * preserved as +0. ±Inf needs no own blend: its binade scales the
+ * Eight-lane grid snap (see QuantGrid in quant/codec.h for why each
+ * step is exact). @p round_index maps the grid index q — the
+ * mantissa-retagged |x| in the normal range, |x| / min_subnormal via
+ * two power-of-two scales below it — to the chosen integer neighbour.
+ * Handling of the scalar codec's special cases, in blend order:
+ * generic result → NaN forced to -max (the scalar "x > 0 ? +max :
+ * -max" on non-finites sends NaN negative regardless of its sign bit)
+ * → ±0 preserved as +0. ±Inf needs no own blend: its binade scales the
  * normal-path result to +Inf, the min() clamp brings it to max_value,
  * and the sign bit is restored by OR.
  */
+template <typename RoundIndex>
 inline __m256
-quantize8Avx2(__m256 x, const QuantGrid &g)
+gridSnap8(__m256 x, const QuantGrid &g, RoundIndex round_index)
 {
     const __m256i abs_mask = _mm256_set1_epi32(0x7FFFFFFF);
     const __m256i mant_mask = _mm256_set1_epi32(0x007FFFFF);
@@ -712,26 +715,19 @@ quantize8Avx2(__m256 x, const QuantGrid &g)
     __m256 sign = _mm256_andnot_ps(_mm256_castsi256_ps(abs_mask), x);
     __m256i bits = _mm256_castps_si256(ax);
 
-    // Normal range: grid index = mantissa-retagged ax, exact in float.
-    __m256 q = _mm256_castsi256_ps(_mm256_or_si256(
+    __m256 q_norm = _mm256_castsi256_ps(_mm256_or_si256(
         _mm256_and_si256(bits, mant_mask), retag_exp));
-    __m256 r = _mm256_round_ps(
-        q, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+    __m256 q_sub = _mm256_mul_ps(
+        _mm256_mul_ps(ax, _mm256_set1_ps(g.inv_min_sub_hi)),
+        _mm256_set1_ps(g.inv_min_sub_lo));
+    __m256 is_sub =
+        _mm256_cmp_ps(ax, _mm256_set1_ps(g.min_normal), _CMP_LT_OQ);
+    __m256 r = round_index(_mm256_blendv_ps(q_norm, q_sub, is_sub));
+
     __m256 binade = _mm256_castsi256_ps(_mm256_and_si256(bits, exp_mask));
     __m256 res_norm = _mm256_mul_ps(
         _mm256_mul_ps(r, _mm256_set1_ps(g.two_pow_neg_mant)), binade);
-
-    // Subnormal range: index = ax / min_subnormal via two exact
-    // power-of-two scales.
-    __m256 qs = _mm256_mul_ps(
-        _mm256_mul_ps(ax, _mm256_set1_ps(g.inv_min_sub_hi)),
-        _mm256_set1_ps(g.inv_min_sub_lo));
-    __m256 rs = _mm256_round_ps(
-        qs, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-    __m256 res_sub = _mm256_mul_ps(rs, _mm256_set1_ps(g.min_subnormal));
-
-    __m256 is_sub =
-        _mm256_cmp_ps(ax, _mm256_set1_ps(g.min_normal), _CMP_LT_OQ);
+    __m256 res_sub = _mm256_mul_ps(r, _mm256_set1_ps(g.min_subnormal));
     __m256 res = _mm256_blendv_ps(res_norm, res_sub, is_sub);
     // Saturation: values at or above max_value (and +Inf, and the
     // rare round-up past the top grid point) all clamp here.
@@ -743,6 +739,16 @@ quantize8Avx2(__m256 x, const QuantGrid &g)
     __m256 zero_mask =
         _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_EQ_OQ);
     return _mm256_blendv_ps(out, _mm256_setzero_ps(), zero_mask);
+}
+
+/** Nearest-even grid snap, bit-exact against quantizeNearest(). */
+inline __m256
+quantize8Avx2(__m256 x, const QuantGrid &g)
+{
+    return gridSnap8(x, g, [](__m256 q) {
+        return _mm256_round_ps(q,
+                               _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+    });
 }
 
 void
@@ -760,6 +766,69 @@ quantizeNearestAvx2(float *p, int64_t count, const FloatFormat &fmt,
     // Scalar codec on the tail: trivially bit-exact.
     for (int64_t i = n8; i < count; ++i)
         p[i] = quantizeNearest(p[i] * scale, fmt) * inv_scale;
+}
+
+/** Eight lanes of MurmurHash3's fmix32 (srDraw24's mixing round). */
+inline __m256i
+fmix32x8(__m256i h)
+{
+    h = _mm256_xor_si256(h, _mm256_srli_epi32(h, 16));
+    h = _mm256_mullo_epi32(h,
+                           _mm256_set1_epi32(static_cast<int>(0x85EBCA6Bu)));
+    h = _mm256_xor_si256(h, _mm256_srli_epi32(h, 13));
+    h = _mm256_mullo_epi32(h,
+                           _mm256_set1_epi32(static_cast<int>(0xC2B2AE35u)));
+    return _mm256_xor_si256(h, _mm256_srli_epi32(h, 16));
+}
+
+void
+quantizeStochasticAvx2(float *p, int64_t count, const FloatFormat &fmt,
+                       const QuantGrid &g, float scale, float inv_scale,
+                       uint64_t key, uint64_t index0)
+{
+    const __m256 vscale = _mm256_set1_ps(scale);
+    const __m256 vinv = _mm256_set1_ps(inv_scale);
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 draw_unit = _mm256_set1_ps(0x1p-24f);
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i eight = _mm256_set1_epi32(8);
+    int64_t i = 0;
+    while (i < count) {
+        // One stream per run of indices sharing their high 32 bits, so
+        // the lanes only ever carry the low index half.
+        const uint64_t idx = index0 + static_cast<uint64_t>(i);
+        const SrStream s = srStream(key, static_cast<uint32_t>(idx >> 32));
+        const uint32_t lo0 = static_cast<uint32_t>(idx);
+        const int64_t end =
+            std::min(count, i + ((int64_t{1} << 32) - int64_t{lo0}));
+        const __m256i s0 = _mm256_set1_epi32(static_cast<int>(s.s0));
+        const __m256i s1 = _mm256_set1_epi32(static_cast<int>(s.s1));
+        __m256i index_lo =
+            _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(lo0)), lane);
+        for (; i + 8 <= end; i += 8) {
+            const __m256i h = fmix32x8(_mm256_add_epi32(
+                fmix32x8(_mm256_xor_si256(index_lo, s0)), s1));
+            const __m256 u = _mm256_mul_ps(
+                _mm256_cvtepi32_ps(_mm256_srli_epi32(h, 8)), draw_unit);
+            const __m256 x = _mm256_mul_ps(_mm256_loadu_ps(p + i), vscale);
+            const __m256 y = gridSnap8(x, g, [&](__m256 q) {
+                const __m256 lo = _mm256_round_ps(
+                    q, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+                const __m256 up =
+                    _mm256_cmp_ps(u, _mm256_sub_ps(q, lo), _CMP_LT_OQ);
+                return _mm256_add_ps(lo, _mm256_and_ps(up, one));
+            });
+            _mm256_storeu_ps(p + i, _mm256_mul_ps(y, vinv));
+            index_lo = _mm256_add_epi32(index_lo, eight);
+        }
+        // Scalar codec on the segment's tail: trivially bit-exact.
+        for (; i < end; ++i) {
+            const uint32_t lo = static_cast<uint32_t>(
+                index0 + static_cast<uint64_t>(i));
+            p[i] = quantizeStochastic(p[i] * scale, fmt, srDraw24(s, lo)) *
+                   inv_scale;
+        }
+    }
 }
 
 void
@@ -976,6 +1045,7 @@ avx2Kernels()
         gemmTnBlockAvx2, packAAvx2,       packBAvx2,
         gemmPackedBlockAvx2,
         quantizeNearestAvx2,
+        quantizeStochasticAvx2,
         bf16RoundAvx2,   maxAbsAvx2,      errorStatsAvx2,
         sumSquaresAvx2,
         attnSoftmaxFwdAvx2,

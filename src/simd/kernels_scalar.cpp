@@ -4,7 +4,7 @@
  *
  * These are the reference implementations — the GEMM blocks are the
  * cache-blocked loops the library shipped before runtime dispatch
- * existed, and the quantize sweep calls the scalar codec directly.
+ * existed, and the quantize sweeps call the scalar codec directly.
  * tests/test_simd.cpp holds the AVX2 backend to these outputs.
  */
 #include <algorithm>
@@ -203,6 +203,18 @@ quantizeNearestScalar(float *p, int64_t count, const FloatFormat &fmt,
 }
 
 void
+quantizeStochasticScalar(float *p, int64_t count, const FloatFormat &fmt,
+                         const QuantGrid & /*grid*/, float scale,
+                         float inv_scale, uint64_t key, uint64_t index0)
+{
+    for (int64_t i = 0; i < count; ++i)
+        p[i] = quantizeStochastic(
+                   p[i] * scale, fmt,
+                   srDraw24(key, index0 + static_cast<uint64_t>(i))) *
+               inv_scale;
+}
+
+void
 bf16RoundScalar(float *p, int64_t count)
 {
     for (int64_t i = 0; i < count; ++i) {
@@ -304,6 +316,7 @@ scalarKernels()
         gemmTnBlockScalar, packAScalar,       packBScalar,
         gemmPackedBlockScalar,
         quantizeNearestScalar,
+        quantizeStochasticScalar,
         bf16RoundScalar,   maxAbsScalar,      errorStatsScalar,
         sumSquaresScalar,
         attnSoftmaxFwdScalar,

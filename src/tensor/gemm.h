@@ -208,7 +208,7 @@ uint64_t weightPackEpoch();
 // The packed pipeline with fused quantize-on-pack. aq/bq describe the
 // nearest-rounding fake quantization of each operand (null = use the
 // operand as-is; stochastic-rounding operands must be materialized by
-// the caller first — their RNG stream is order-sensitive). Results are
+// the caller first — the pack kernels carry no SR call key). Results are
 // bit-identical to quantizing a copy with FakeQuantizer and running
 // the packed GEMM on it. These entries always pack regardless of mode
 // (callers gate on gemmPackEnabled()); after warm-up they perform zero

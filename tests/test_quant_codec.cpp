@@ -15,6 +15,13 @@
 namespace snip {
 namespace {
 
+/** A uniform 24-bit stochastic-rounding draw. */
+uint32_t
+draw24(Rng &rng)
+{
+    return static_cast<uint32_t>(rng.nextU64() >> 40);
+}
+
 TEST(Codec, Fp4GridIsExactlyTheMxValueSet)
 {
     // Every representable value must round-trip to itself.
@@ -100,7 +107,7 @@ TEST(Codec, StochasticRoundingLandsOnNeighbours)
     Rng rng(2);
     for (int i = 0; i < 2000; ++i) {
         float x = 1.0f + 3.0f * rng.nextFloat();
-        float q = quantizeStochastic(x, fp4E2m1(), rng);
+        float q = quantizeStochastic(x, fp4E2m1(), draw24(rng));
         // q is a grid point adjacent to x.
         EXPECT_LE(std::fabs(q - x), ulpAt(x, fp4E2m1()) + 1e-7);
         EXPECT_EQ(q, quantizeNearest(q, fp4E2m1()));
@@ -115,8 +122,31 @@ TEST(Codec, StochasticRoundingIsUnbiased)
     double sum = 0.0;
     const int n = 40000;
     for (int i = 0; i < n; ++i)
-        sum += quantizeStochastic(x, fp4E2m1(), rng);
+        sum += quantizeStochastic(x, fp4E2m1(), draw24(rng));
     EXPECT_NEAR(sum / n, x, 0.01);
+}
+
+TEST(Codec, SrDrawDependsOnBothHalvesOfKeyAndIndex)
+{
+    // Flipping one bit in either half of the key, or stepping the
+    // index's high half, must give an unrelated run of draws.
+    const uint64_t key = 0x0123456789ABCDEFull;
+    const uint64_t base = 1000;
+    const struct
+    {
+        uint64_t key, index;
+    } variants[] = {{key ^ 1, base},
+                    {key ^ (uint64_t{1} << 40), base},
+                    {key, base + (uint64_t{1} << 32)}};
+    for (const auto &v : variants) {
+        int same = 0;
+        for (uint64_t i = 0; i < 256; ++i) {
+            const uint32_t d = srDraw24(key, base + i);
+            EXPECT_LT(d, 1u << 24);
+            same += d == srDraw24(v.key, v.index + i);
+        }
+        EXPECT_LE(same, 1) << std::hex << v.key << " " << v.index;
+    }
 }
 
 TEST(Codec, NearestIsBiasedTowardNearerPoint)

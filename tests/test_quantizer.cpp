@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "quant/error_metrics.h"
@@ -156,12 +157,42 @@ TEST(Quantizer, DeterministicGivenSeed)
     EXPECT_TRUE(q1.quantize(t, cfg) == q2.quantize(t, cfg));
 }
 
+TEST(Quantizer, StochasticDrawIsKeyedByFlatIndex)
+{
+    // One call key per call from the member stream; element i of the
+    // row-major view rounds with srDraw24(key, i) — the codec fed that
+    // draw reproduces the whole tensor bit for bit.
+    Rng rng(23);
+    Tensor t = Tensor::randn({9, 37}, rng);
+    const QuantConfig cfg{fp4E2m1(), {Granularity::Tensorwise, 0},
+                          Rounding::Stochastic};
+    FakeQuantizer q(808);
+    Rng keys(808);
+    for (int call = 0; call < 2; ++call) {
+        const uint64_t key = keys.nextU64();
+        const Tensor out = q.quantize(t, cfg);
+        double max_abs = 0.0;
+        for (int64_t i = 0; i < t.numel(); ++i)
+            max_abs = std::max(max_abs, std::fabs(double{t.at(i)}));
+        const double scale = regionScale(max_abs, cfg.format.maxValue());
+        const float fscale = static_cast<float>(scale);
+        const float inv = static_cast<float>(1.0 / scale);
+        for (int64_t i = 0; i < t.numel(); ++i) {
+            const float want =
+                quantizeStochastic(t.at(i) * fscale, cfg.format,
+                                   srDraw24(key, static_cast<uint64_t>(i))) *
+                inv;
+            ASSERT_EQ(out.at(i), want) << "call " << call << " i=" << i;
+        }
+    }
+}
+
 TEST(Quantizer, ParallelBitIdenticalToSerial)
 {
     // Region sweeps run on the shared pool; every config — including
-    // stochastic rounding, whose per-region streams are derived from
-    // the call key rather than claimed in scheduling order — must give
-    // the 1-thread result bit for bit at 2 and 8 threads.
+    // stochastic rounding, whose draws are a function of the call key
+    // and the element index rather than claimed in scheduling order —
+    // must give the 1-thread result bit for bit at 2 and 8 threads.
     GlobalPoolGuard guard;
     Rng rng(99);
     Tensor t = Tensor::randn({67, 190}, rng); // non-multiple of blocks

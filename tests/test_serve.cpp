@@ -8,14 +8,18 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <new>
 #include <vector>
 
 #include "nn/model.h"
+#include "quant/codec.h"
+#include "quant/scaling.h"
 #include "runtime/thread_pool.h"
 #include "serve/engine.h"
 #include "serve/kv_cache.h"
@@ -23,6 +27,7 @@
 #include "tensor/gemm.h"
 #include "testing_util.h"
 #include "train/presets.h"
+#include "util/rng.h"
 
 namespace {
 std::atomic<int64_t> g_allocs{0};
@@ -350,6 +355,87 @@ TEST(ServeDecode, Fp8CacheTracksFp32WithinTolerance)
 }
 
 // -------------------------------------------------------- page reuse
+
+TEST(KvCacheCodec, EveryE4m3MagnitudeEncodesToItsIndexAndRoundTrips)
+{
+    // 127 codes per sign: every E4M3 bit pattern except the NaN one.
+    const FloatFormat &fmt = fp8E4m3();
+    ASSERT_EQ(fmt.magnitudeCount() + 1, 127);
+    float prev = -1.0f;
+    for (int idx = 0; idx < 127; ++idx) {
+        SCOPED_TRACE(idx);
+        const uint8_t code = static_cast<uint8_t>(idx);
+        const float v = serve::decodeE4m3(code);
+        // The standard E4M3 value of the pattern eeee.mmm (bias 7).
+        const int e = idx >> 3;
+        const double mant = (idx & 7) / 8.0;
+        const double want = e == 0 ? std::ldexp(mant, 1 - 7)
+                                   : std::ldexp(1.0 + mant, e - 7);
+        EXPECT_EQ(static_cast<double>(v), want);
+        EXPECT_GT(v, prev); // table order == bit-pattern order
+        prev = v;
+        EXPECT_EQ(quantizeNearest(v, fmt), v); // on the grid
+        EXPECT_EQ(serve::encodeE4m3(v), code);
+        EXPECT_EQ(serve::encodeE4m3(-v), code | 0x80);
+        for (float x : {v, -v}) {
+            const float back = serve::decodeE4m3(serve::encodeE4m3(x));
+            EXPECT_EQ(0, std::memcmp(&back, &x, sizeof(float))) << x;
+        }
+    }
+}
+
+TEST(KvCacheCodec, Fp8GatherEqualsPerBlockFakeQuantization)
+{
+    // A stored value decodes to exactly what quantizing its
+    // (token, kv-head) block with the block's own scale produces.
+    serve::KvCacheConfig kc;
+    kc.n_layers = 1;
+    kc.n_kv_heads = 2;
+    kc.head_dim = 20;
+    kc.page_tokens = 4;
+    kc.max_pages = 8;
+    kc.max_seqs = 1;
+    kc.max_seq_tokens = 8;
+    kc.mode = serve::KvCacheMode::Fp8;
+    serve::KvCache cache(kc);
+    cache.beginSequence(0);
+    Rng rng(41);
+    const int64_t tokens = 6;
+    std::vector<float> k(static_cast<size_t>(tokens * kc.kvDim()));
+    for (auto &x : k)
+        x = static_cast<float>(rng.nextGaussian() *
+                               std::pow(10.0, rng.nextRange(-4, 2)));
+    for (int64_t i = 0; i < kc.head_dim; ++i)
+        k[static_cast<size_t>(kc.head_dim + i)] = 0.0f; // all-zero block
+    k[3] = -1e-9f; // rounds to -0 under its block's scale
+    for (int64_t t = 0; t < tokens; ++t)
+        cache.append(0, 0, k.data() + t * kc.kvDim(),
+                     k.data() + t * kc.kvDim());
+    const FloatFormat &fmt = fp8E4m3();
+    std::vector<float> got(static_cast<size_t>(tokens * kc.head_dim));
+    for (int64_t h = 0; h < kc.n_kv_heads; ++h) {
+        cache.gatherHeadK(0, 0, h, got.data());
+        for (int64_t t = 0; t < tokens; ++t) {
+            const float *block = k.data() + t * kc.kvDim() + h * kc.head_dim;
+            double max_abs = 0.0;
+            for (int64_t i = 0; i < kc.head_dim; ++i)
+                max_abs = std::max(max_abs, std::fabs(double{block[i]}));
+            const double scale = regionScale(max_abs, fmt.maxValue());
+            const float fscale = static_cast<float>(scale);
+            const float inv = static_cast<float>(1.0 / scale);
+            for (int64_t i = 0; i < kc.head_dim; ++i) {
+                const float want =
+                    quantizeNearest(block[i] * fscale, fmt) * inv;
+                const float have =
+                    got[static_cast<size_t>(t * kc.head_dim + i)];
+                EXPECT_EQ(0, std::memcmp(&want, &have, sizeof(float)))
+                    << "head " << h << " token " << t << " i " << i
+                    << ": " << want << " vs " << have;
+            }
+        }
+    }
+    cache.endSequence(0);
+}
 
 TEST(KvCachePages, FreeListReusesPagesAcrossRequests)
 {

@@ -7,12 +7,16 @@
  *   - quantize / bf16-round / max-abs agree bit for bit across
  *     backends (asserted exactly, which is stronger than the 1-ULP
  *     requirement);
+ *   - stochastic rounding matches the scalar codec fed the
+ *     counter-based draws on every backend, lands on a definitional
+ *     grid neighbour, and rounds up with frequency frac;
  *   - GEMM agrees across backends within a relative-error bound and
  *     is bit-identical across 1/2/8 threads within each backend.
  * AVX2 comparisons skip with a message on hosts without AVX2+FMA.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -202,6 +206,237 @@ TEST(SimdQuantize, MaxAbsBitExactAcrossBackends)
     }
 }
 
+/** Every backend this host can run (scalar always, AVX2 when present). */
+std::vector<const simd::KernelTable *>
+runnableBackends()
+{
+    std::vector<const simd::KernelTable *> out = {&simd::scalarKernels()};
+    if (simd::cpuSupportsAvx2())
+        out.push_back(&simd::avx2Kernels());
+    return out;
+}
+
+TEST(SimdStochastic, BackendsMatchCodecReferenceEveryFormat)
+{
+    const FloatFormat *formats[] = {&fp4E2m1(),  &fp6E3m2(), &fp8E4m3(),
+                                    &fp8E5m2(),  &bf16(),    &fp16()};
+    // index0 values include a span that crosses a 2^32 index boundary,
+    // where the draw stream's high index half changes mid-span.
+    const uint64_t starts[] = {0, 13, (uint64_t{1} << 32) - 21,
+                               0xFFFFFFF0ull << 28};
+    for (const FloatFormat *fmt : formats) {
+        std::vector<float> vals = adversarialValues(*fmt);
+        vals.resize(vals.size() - vals.size() % 8 + 5); // ragged tail
+        const QuantGrid grid = quantGrid(*fmt);
+        for (float scale : {1.0f, 0.731f, 512.0f}) {
+            const float inv = 1.0f / scale;
+            for (uint64_t index0 : starts) {
+                const uint64_t key = 0x0123456789ABCDEFull ^ index0;
+                std::vector<float> ref(vals.size());
+                for (size_t i = 0; i < vals.size(); ++i)
+                    ref[i] = quantizeStochastic(vals[i] * scale, *fmt,
+                                                srDraw24(key, index0 + i)) *
+                             inv;
+                for (const simd::KernelTable *kt : runnableBackends()) {
+                    std::vector<float> got = vals;
+                    kt->quantizeStochastic(got.data(),
+                                           static_cast<int64_t>(got.size()),
+                                           *fmt, grid, scale, inv, key,
+                                           index0);
+                    ASSERT_EQ(0, std::memcmp(ref.data(), got.data(),
+                                             ref.size() * sizeof(float)))
+                        << kt->name << " " << fmt->name
+                        << " scale=" << scale << " index0=" << index0;
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdStochastic, SplitSpansGiveTheSameBits)
+{
+    // A draw depends only on (key, flat index): sweeping a run in
+    // pieces of any length, each with its own index0, must reproduce
+    // the one-call result on every backend.
+    Rng rng(21);
+    std::vector<float> vals(1001);
+    for (auto &v : vals)
+        v = static_cast<float>(rng.nextGaussian());
+    const QuantGrid grid = quantGrid(fp4E2m1());
+    const uint64_t key = 0xFEEDFACECAFEBEEFull;
+    const uint64_t index0 = 77;
+    std::vector<float> whole = vals;
+    simd::scalarKernels().quantizeStochastic(
+        whole.data(), static_cast<int64_t>(whole.size()), fp4E2m1(), grid,
+        3.0f, 1.0f / 3.0f, key, index0);
+    for (const simd::KernelTable *kt : runnableBackends()) {
+        for (int64_t piece : {1, 7, 8, 9, 128, 1000}) {
+            std::vector<float> got = vals;
+            for (int64_t i0 = 0; i0 < static_cast<int64_t>(got.size());
+                 i0 += piece) {
+                const int64_t n = std::min<int64_t>(
+                    piece, static_cast<int64_t>(got.size()) - i0);
+                kt->quantizeStochastic(got.data() + i0, n, fp4E2m1(), grid,
+                                       3.0f, 1.0f / 3.0f, key,
+                                       index0 + static_cast<uint64_t>(i0));
+            }
+            EXPECT_EQ(0, std::memcmp(whole.data(), got.data(),
+                                     whole.size() * sizeof(float)))
+                << kt->name << " piece=" << piece;
+        }
+    }
+}
+
+TEST(SimdStochastic, SpecialInputsBehaveAsTheCodec)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    for (const FloatFormat *fmt : {&fp4E2m1(), &fp8E4m3(), &bf16()}) {
+        const QuantGrid grid = quantGrid(*fmt);
+        const float max_v = grid.max_value;
+        const float min_s = grid.min_subnormal;
+        for (const simd::KernelTable *kt : runnableBackends()) {
+            // 64 copies of each input so every draw path (vector lanes
+            // and the scalar tail) sees it under many draws.
+            auto sweep = [&](float x) {
+                std::vector<float> v(67, x);
+                kt->quantizeStochastic(v.data(), 67, *fmt, grid, 1.0f,
+                                       1.0f, 0x5EEDull, 1000);
+                return v;
+            };
+            auto allBits = [](const std::vector<float> &v, float want) {
+                for (float y : v) {
+                    if (std::memcmp(&y, &want, sizeof(float)) != 0)
+                        return false;
+                }
+                return true;
+            };
+            const std::string where =
+                std::string(kt->name) + " " + fmt->name;
+            EXPECT_TRUE(allBits(
+                sweep(std::numeric_limits<float>::quiet_NaN()), -max_v))
+                << where;
+            EXPECT_TRUE(allBits(sweep(inf), max_v)) << where;
+            EXPECT_TRUE(allBits(sweep(-inf), -max_v)) << where;
+            EXPECT_TRUE(allBits(sweep(0.0f), 0.0f)) << where;
+            EXPECT_TRUE(allBits(sweep(-0.0f), 0.0f)) << where;
+            EXPECT_TRUE(allBits(sweep(max_v), max_v)) << where;
+            EXPECT_TRUE(allBits(sweep(max_v * 1.5f), max_v)) << where;
+            EXPECT_TRUE(allBits(sweep(-max_v * 1.5f), -max_v)) << where;
+            // Below the smallest subnormal step: either neighbour, and
+            // both must occur over 67 draws at frac = 1/2.
+            for (float sign : {1.0f, -1.0f}) {
+                const std::vector<float> v = sweep(sign * min_s * 0.5f);
+                int ups = 0;
+                for (float y : v) {
+                    EXPECT_TRUE(y == 0.0f || y == sign * min_s)
+                        << where << " y=" << y;
+                    EXPECT_EQ(std::signbit(y), sign < 0) << where;
+                    ups += y != 0.0f;
+                }
+                EXPECT_GT(ups, 0) << where;
+                EXPECT_LT(ups, 67) << where;
+            }
+        }
+    }
+}
+
+TEST(SimdStochastic, DrawEqualToFractionRoundsDown)
+{
+    // The rule is strict: up iff draw24 * 2^-24 < frac. On E2M1's
+    // subnormal grid (spacing 1/2) x = d * 2^-25 has frac exactly
+    // d * 2^-24, so x built from each element's own draw d must round
+    // down to 0, and x one draw-step above must round up to 1/2.
+    const QuantGrid grid = quantGrid(fp4E2m1());
+    const uint64_t key = 0x7E57C0DEull;
+    const int64_t n = 1003;
+    for (const simd::KernelTable *kt : runnableBackends()) {
+        std::vector<float> at(static_cast<size_t>(n));
+        std::vector<float> above(static_cast<size_t>(n));
+        for (int64_t i = 0; i < n; ++i) {
+            const uint32_t d = srDraw24(key, static_cast<uint64_t>(i));
+            const size_t k = static_cast<size_t>(i);
+            at[k] = std::ldexp(static_cast<float>(d), -25);
+            above[k] = std::ldexp(static_cast<float>(d + 1), -25);
+        }
+        kt->quantizeStochastic(at.data(), n, fp4E2m1(), grid, 1.0f, 1.0f,
+                               key, 0);
+        kt->quantizeStochastic(above.data(), n, fp4E2m1(), grid, 1.0f,
+                               1.0f, key, 0);
+        for (int64_t i = 0; i < n; ++i) {
+            EXPECT_EQ(at[static_cast<size_t>(i)], 0.0f)
+                << kt->name << " i=" << i;
+            EXPECT_EQ(above[static_cast<size_t>(i)], 0.5f)
+                << kt->name << " i=" << i;
+        }
+    }
+}
+
+TEST(SimdStochastic, OutputIsADefinitionalGridNeighbour)
+{
+    Rng rng(31);
+    for (const FloatFormat *fmt :
+         {&fp4E2m1(), &fp6E3m2(), &fp8E4m3(), &fp8E5m2(), &bf16()}) {
+        const QuantGrid grid = quantGrid(*fmt);
+        const double max_v = fmt->maxValue();
+        std::vector<float> vals(4099);
+        for (auto &v : vals)
+            v = static_cast<float>(rng.nextGaussian() * max_v * 0.3);
+        for (const simd::KernelTable *kt : runnableBackends()) {
+            std::vector<float> got = vals;
+            kt->quantizeStochastic(got.data(),
+                                   static_cast<int64_t>(got.size()), *fmt,
+                                   grid, 1.0f, 1.0f, rng.nextU64(), 0);
+            for (size_t i = 0; i < vals.size(); ++i) {
+                // The neighbours from the definition: floor and ceiling
+                // of |x| on the grid spacing at |x|, clamped to max.
+                const double a = std::fabs(static_cast<double>(vals[i]));
+                const double ulp = ulpAt(vals[i], *fmt);
+                const double down =
+                    std::min(std::floor(a / ulp) * ulp, max_v);
+                const double up = std::min(down + ulp, max_v);
+                const double y = std::fabs(static_cast<double>(got[i]));
+                EXPECT_TRUE(y == down || y == up)
+                    << kt->name << " " << fmt->name << " x=" << vals[i]
+                    << " y=" << got[i];
+                if (got[i] != 0.0f) {
+                    EXPECT_EQ(std::signbit(got[i]), std::signbit(vals[i]));
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdStochastic, RoundUpFrequencyMatchesFraction)
+{
+    // E2M1 spacing on [2, 4) is 1, so x = 2 + f rounds up to 3 with
+    // probability f. Over n draws the up-count must sit within a 5σ
+    // binomial band of n·f (σ² = n·f·(1-f)); +1 absorbs the integer
+    // count at the tiny fractions.
+    const QuantGrid grid = quantGrid(fp4E2m1());
+    const int64_t n = 200000;
+    const double fracs[] = {0x1p-20, 0.001, 0.1, 0.25, 0.3, 0.5,
+                            0.7,     0.9,   0.999};
+    uint64_t key = 0xA5A5A5A5ull;
+    for (const simd::KernelTable *kt : runnableBackends()) {
+        for (double f : fracs) {
+            std::vector<float> v(static_cast<size_t>(n),
+                                 static_cast<float>(2.0 + f));
+            kt->quantizeStochastic(v.data(), n, fp4E2m1(), grid, 1.0f,
+                                   1.0f, ++key, 0);
+            int64_t ups = 0;
+            for (float y : v) {
+                ASSERT_TRUE(y == 2.0f || y == 3.0f) << y;
+                ups += y == 3.0f;
+            }
+            const double mean = static_cast<double>(n) * f;
+            const double sigma = std::sqrt(mean * (1.0 - f));
+            EXPECT_LE(std::fabs(static_cast<double>(ups) - mean),
+                      5.0 * sigma + 1.0)
+                << kt->name << " frac=" << f << " ups=" << ups;
+        }
+    }
+}
+
 TEST(SimdQuantize, FakeQuantizerEndToEndMatchesAt128Threads)
 {
     SKIP_WITHOUT_AVX2();
@@ -209,24 +444,28 @@ TEST(SimdQuantize, FakeQuantizerEndToEndMatchesAt128Threads)
     GlobalPoolGuard pool_guard;
     Rng rng(5);
     Tensor t = Tensor::randn({130, 257}, rng, 3.0f);
-    const QuantConfig cfg{fp4E2m1(),
-                          {Granularity::Tilewise, 128},
-                          Rounding::Nearest};
+    // Nearest and stochastic rounding: both go through the kernel
+    // table, so neither backend nor thread count may change a bit.
+    for (Rounding rounding : {Rounding::Nearest, Rounding::Stochastic}) {
+        const QuantConfig cfg{fp4E2m1(), {Granularity::Tilewise, 128},
+                              rounding};
 
-    setenv("SNIP_SIMD", "scalar", 1);
-    simd::reinitFromEnv();
-    runtime::setGlobalThreadCount(1);
-    FakeQuantizer qs(9);
-    const Tensor ref = qs.quantize(t, cfg);
-
-    for (const char *backend : {"scalar", "avx2"}) {
-        setenv("SNIP_SIMD", backend, 1);
+        setenv("SNIP_SIMD", "scalar", 1);
         simd::reinitFromEnv();
-        for (int threads : {1, 2, 8}) {
-            runtime::setGlobalThreadCount(threads);
-            FakeQuantizer q(9);
-            EXPECT_TRUE(q.quantize(t, cfg) == ref)
-                << backend << " @ " << threads << " threads";
+        runtime::setGlobalThreadCount(1);
+        FakeQuantizer qs(9);
+        const Tensor ref = qs.quantize(t, cfg);
+
+        for (const char *backend : {"scalar", "avx2"}) {
+            setenv("SNIP_SIMD", backend, 1);
+            simd::reinitFromEnv();
+            for (int threads : {1, 2, 8}) {
+                runtime::setGlobalThreadCount(threads);
+                FakeQuantizer q(9);
+                EXPECT_TRUE(q.quantize(t, cfg) == ref)
+                    << cfg.describe() << " " << backend << " @ "
+                    << threads << " threads";
+            }
         }
     }
 }
